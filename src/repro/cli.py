@@ -182,7 +182,8 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         "--restart-budget",
         type=int,
         default=3,
-        help="worker replacements the supervised pool may spend per batch",
+        help="consecutive deaths a supervised worker survives before it "
+        "retires (a completed task resets the count)",
     )
     group.add_argument(
         "--hang-timeout",
@@ -1284,12 +1285,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
     from collections import Counter
 
-    from repro.service import (
-        BatchExecutor,
-        ServiceRejectedError,
-        ServiceResponse,
-        ServiceTimeoutError,
-    )
+    from repro.service import BatchExecutor, ServiceError, ServiceResponse
 
     if args.requests < 1:
         _log.error("--requests must be >= 1")
@@ -1330,21 +1326,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 responses.append(
                     service.submit(request, deadline=args.deadline)
                 )
-            except ServiceRejectedError as exc:
+            except ServiceError as exc:
                 responses.append(
-                    ServiceResponse.error(
-                        fingerprint=exc.fingerprint,
-                        status="rejected",
-                        message=str(exc),
-                        source="rejected",
-                    )
-                )
-            except ServiceTimeoutError as exc:
-                responses.append(
-                    ServiceResponse.error(
-                        fingerprint=exc.fingerprint,
-                        status="time_limit",
-                        message=str(exc),
+                    ServiceResponse.from_error(
+                        exc, fingerprint=request.fingerprint()
                     )
                 )
     sources = Counter(r.source for r in responses)

@@ -200,28 +200,28 @@ def chaos_pool_solve(
     chaos: dict | None,
     attempt: int = 0,
 ) -> dict:
-    """Pool-worker entry point with *physical* fault injection.
+    """:func:`~repro.service.solver.worker_solve` with *physical* faults.
 
     Runs inside a :class:`ProcessPoolExecutor` worker, so a "crash" is a
     real process death (``os._exit``) the supervisor sees as
     ``BrokenProcessPool``, and a "hang" is a real sleep it must kill.
     """
     from repro.service.request import SolveRequest
-    from repro.service.solver import solve_request
+    from repro.service.solver import SolveOutcome, worker_solve
 
-    request = SolveRequest.from_dict(payload)
     plan = ChaosPlan.from_dict(chaos) if chaos else None
-    kind = plan.fault(request.fingerprint(), attempt) if plan else None
+    fingerprint = SolveRequest.from_dict(payload).fingerprint()
+    kind = plan.fault(fingerprint, attempt) if plan else None
     if kind == "crash":
         os._exit(3)
     if kind == "hang":
         time.sleep(plan.hang_seconds)
     if kind == "slow":
         time.sleep(plan.slow_seconds)
-    outcome = solve_request(request, x0=x0, deadline=deadline)
+    outcome = worker_solve(payload, x0, deadline)
     if kind == "corrupt":
-        outcome = corrupt_outcome(outcome)
-    return outcome.to_dict()
+        outcome = corrupt_outcome(SolveOutcome.from_dict(outcome)).to_dict()
+    return outcome
 
 
 __all__ = [

@@ -37,23 +37,17 @@ from repro.obs.slo import SLOTracker
 from repro.obs.trace import span
 from repro.service.errors import (
     RestartBudgetError,
+    ServiceError,
     ServiceOverloadError,
     ServiceRejectedError,
-    ServiceTimeoutError,
     WorkerCrashError,
     WorkerHangError,
 )
 from repro.service.request import SolveRequest
 from repro.service.response import ServiceResponse
-from repro.service.service import AllocationService
-from repro.service.solver import SolveOutcome, solve_request, validate_outcome
+from repro.service.service import AllocationService, harvest_timeout
+from repro.service.solver import SolveOutcome, validate_outcome, worker_solve
 from repro.service.supervisor import Dispatch, SupervisedWorkerPool, wait_any
-
-
-def _pool_solve(payload: dict, x0: dict | None, deadline: float | None) -> dict:
-    """Worker entry point: runs in a pool process, so wire formats only."""
-    request = SolveRequest.from_dict(payload)
-    return solve_request(request, x0=x0, deadline=deadline).to_dict()
 
 
 class BatchExecutor:
@@ -182,23 +176,10 @@ class BatchExecutor:
     def _submit_safe(self, fp: str, request: SolveRequest) -> ServiceResponse:
         try:
             return self.service.submit(request, deadline=self.deadline)
-        except ServiceTimeoutError as exc:
-            return ServiceResponse.error(
-                fingerprint=fp, status=Status.TIME_LIMIT.value, message=str(exc)
-            )
-        except ServiceRejectedError as exc:
-            return ServiceResponse.error(
-                fingerprint=fp,
-                status="rejected",
-                message=str(exc),
-                source="rejected",
-            )
-        except (WorkerCrashError, WorkerHangError) as exc:
-            # Chaos without a resilience policy: surface the worker death as
-            # a typed envelope rather than poisoning the batch.
-            return ServiceResponse.error(
-                fingerprint=fp, status=Status.ERROR.value, message=str(exc)
-            )
+        except ServiceError as exc:
+            # One bad request (or a worker death without a resilience
+            # policy) is a typed envelope, never a poisoned batch.
+            return ServiceResponse.from_error(exc, fingerprint=fp)
 
     # -- supervised fan-out -------------------------------------------------
 
@@ -272,15 +253,9 @@ class BatchExecutor:
             except (RestartBudgetError, WorkerCrashError) as exc:
                 failures[fp] = req
                 reasons[fp] = str(exc)
-        # The solver's own wall budget enforces the deadline; the grace
-        # below only covers process scheduling overhead — and turns a hung
-        # worker into a typed, retryable failure instead of a stuck batch.
-        if self.deadline is not None:
-            grace = 2.0 * self.deadline + 5.0
-            if policy:
-                grace = min(grace, self.deadline + policy.hang_timeout)
-        else:
-            grace = policy.hang_timeout if policy else None
+        # Turns a hung worker into a typed, retryable failure instead of a
+        # stuck batch.
+        grace = harvest_timeout(self.deadline, policy)
         for fp, dispatch in dispatches.items():
             req = pending[fp]
             try:
@@ -322,7 +297,7 @@ class BatchExecutor:
                 chaos_pool_solve, req.to_dict(), x0, self.deadline,
                 chaos.to_dict(), attempt,
             )
-        return pool.submit(_pool_solve, req.to_dict(), x0, self.deadline)
+        return pool.submit(worker_solve, req.to_dict(), x0, self.deadline)
 
     def _harvest(
         self,
@@ -416,9 +391,4 @@ class BatchExecutor:
         try:
             return service.fallback(req, fp, reason=reason)
         except ServiceRejectedError as exc:
-            return ServiceResponse.error(
-                fingerprint=fp,
-                status="rejected",
-                message=str(exc),
-                source="rejected",
-            )
+            return ServiceResponse.from_error(exc, fingerprint=fp)

@@ -96,11 +96,12 @@ class WorkerHangError(ServiceError):
 
 
 class RestartBudgetError(ServiceError):
-    """The supervised pool burned its whole worker-restart budget."""
+    """Every slot of the supervised pool retired on its restart budget."""
 
     def __init__(self, *, budget: int) -> None:
         self.budget = budget
         super().__init__(
-            f"supervised pool exhausted its restart budget ({budget} worker "
-            "replacement(s)); remaining work must degrade or be rejected"
+            f"supervised pool exhausted its restart budget (every worker died "
+            f"more than {budget} time(s) in a row); remaining work must "
+            "degrade or be rejected"
         )

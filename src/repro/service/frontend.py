@@ -20,14 +20,20 @@ The layers, bottom-up::
     solving     one AllocationService per shard — cache, donors, breaker,
                 degradation ladder, the fingerprint-seeded solve
 
-Worker modes: ``"process"`` gives each shard its own single-process
-executor — the parallel mode, since the branch-and-bound solve is
-GIL-bound Python (its LP calls are too short to release the interpreter
-for long); donor lookup and cache admission stay in the parent loop, so
-shard state remains single-writer.  ``"thread"`` (default) runs solves on
-a one-thread executor per shard — no solve parallelism, but the event
-loop stays responsive, and nothing forks.  ``"inline"`` runs solves
-directly on the event loop — fully deterministic, the mode the tests use.
+Worker modes: ``"thread"`` (default) and ``"process"`` both run the
+shard's :meth:`AllocationService.submit` on a one-thread executor per
+shard, so the event loop stays responsive and the shard's one thread
+serializes donor lookup -> solve -> cache admission (a burst of one
+family's budgets chains warm starts).  ``"process"`` additionally sends
+the solve itself to a one-slot
+:class:`~repro.service.supervisor.SupervisedWorkerPool` owned by the shard —
+the parallel mode, since the branch-and-bound solve is GIL-bound Python.
+The service's retry, validation, breaker and degradation-ladder loop covers
+those out-of-process solves exactly as it covers the batch executor's: a
+crashed or hung worker (``ResiliencePolicy.hang_timeout``) is killed,
+replaced and retried, and a slot that retires on its restart budget hands
+its requests to the ladder.  ``"inline"`` runs solves directly on the event
+loop — fully deterministic, the mode the tests use.
 """
 
 from __future__ import annotations
@@ -39,16 +45,14 @@ import json
 import os
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import IO
 
-from repro.minlp.solution import Status
 from repro.obs.metrics import REGISTRY
 from repro.obs.slo import SLOTracker
-from repro.obs.trace import get_tracer, run_traced_child, span
+from repro.obs.trace import span
 from repro.service.admission import (
     DEFAULT_PRIORITY,
     AdmissionController,
@@ -56,45 +60,16 @@ from repro.service.admission import (
     AdmissionPolicy,
 )
 from repro.service.coalesce import SingleFlight
-from repro.service.errors import (
-    ServiceError,
-    ServiceOverloadError,
-    ServiceRejectedError,
-    ServiceTimeoutError,
-)
+from repro.service.errors import ServiceError, ServiceOverloadError
 from repro.service.metrics import LatencyHistogram
 from repro.service.request import SolveRequest
-from repro.service.response import ServiceResponse
+from repro.service.response import ServiceResponse, error_envelope
 from repro.service.service import AllocationService, ResiliencePolicy
 from repro.service.sharding import DEFAULT_VNODES, HashRing
-from repro.service.solver import SolveOutcome, greedy_outcome, solve_request
+from repro.service.solver import greedy_outcome
+from repro.service.supervisor import SupervisedWorkerPool
 
 _WORKER_MODES = ("thread", "process", "inline")
-
-
-def _shard_solve(
-    payload: dict,
-    x0: dict | None,
-    deadline: float | None,
-    trace_context: dict | None = None,
-) -> dict:
-    """The picklable solve shipped to a shard's worker process.
-
-    With a ``trace_context`` attached, the worker records its solve-side
-    spans under that parent and ships them back on the ``"_trace"`` key of
-    the outcome dict, for the parent to graft into the request's tree.
-    """
-
-    def _solve() -> dict:
-        with span("worker.solve", pid=os.getpid(), warm=x0 is not None):
-            return solve_request(
-                SolveRequest.from_dict(payload), x0=x0, deadline=deadline
-            ).to_dict()
-
-    outcome, spans = run_traced_child(trace_context, _solve)
-    if spans:
-        outcome = {**outcome, "_trace": spans}
-    return outcome
 
 
 @dataclass(frozen=True)
@@ -142,138 +117,62 @@ class TierConfig:
 
 
 class _Shard:
-    """One shard: its service, its flight table, its (optional) worker."""
+    """One shard: its service, its flight table, its (optional) workers."""
 
     def __init__(self, name: str, config: TierConfig) -> None:
         self.name = name
+        self.mode = config.worker_mode
+        budget = (config.resilience or ResiliencePolicy()).restart_budget
+        self.pool: SupervisedWorkerPool | None = (
+            SupervisedWorkerPool(1, restart_budget=budget)
+            if self.mode == "process"
+            else None
+        )
         self.service = AllocationService(
             cache_capacity=config.cache_capacity,
             ttl=config.ttl,
             warm_start=config.warm_start,
             resilience=config.resilience,
             share_cuts=config.share_cuts,
+            pool=self.pool,
         )
         self.flights = SingleFlight()
         self.requests = 0
-        self.mode = config.worker_mode
         self.executor: ThreadPoolExecutor | None = (
             ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"hslb-{name}"
             )
-            if self.mode == "thread"
+            if self.mode != "inline"
             else None
         )
-        self.process: ProcessPoolExecutor | None = (
-            ProcessPoolExecutor(max_workers=1)
-            if self.mode == "process"
-            else None
-        )
-        # Serializes out-of-process dispatch per shard, so each solve's
-        # donor lookup sees every sibling already admitted.  Costs nothing:
-        # the pool has exactly one worker.
-        self._dispatch_lock = asyncio.Lock()
 
     async def solve(self, request: SolveRequest, deadline: float | None):
         """Run one (possibly warm-started) solve on this shard's worker."""
-        if self.process is not None:
-            return await self._solve_out_of_process(request, deadline)
         call = partial(self.service.submit, request, deadline=deadline)
         if self.executor is None:
             with span("shard.solve", shard=self.name, mode="inline"):
                 return call()
-        with span("shard.solve", shard=self.name, mode="thread"):
+        with span("shard.solve", shard=self.name, mode=self.mode):
             # run_in_executor does NOT carry contextvars; copy the current
             # context so the thread-side spans nest under this one.
             ctx = contextvars.copy_context()
             return await asyncio.get_running_loop().run_in_executor(
-                self.executor, ctx.run, call
+                self.executor, ctx.run, self._dequeued, time.perf_counter(), call
             )
 
-    async def _solve_out_of_process(
-        self, request: SolveRequest, deadline: float | None
-    ) -> ServiceResponse:
-        """Ship the solve to this shard's worker process.
-
-        Only the solve itself leaves the parent: donor lookup before and
-        cache/donor admission after both run on the event loop, under the
-        shard's dispatch lock — so a burst of one family's budgets chains
-        warm starts (each solve sees its predecessors admitted) instead of
-        all dispatching cold.  A dead worker is replaced and the victim
-        solve retried on a transient thread — the request is
-        fingerprint-seeded, so the retry is idempotent.
-        """
-        start = time.perf_counter()
-        loop = asyncio.get_running_loop()
-        fingerprint = request.fingerprint()
-        service = self.service
-        with span("shard.queue", shard=self.name):
-            await self._dispatch_lock.acquire()
-        try:
-            with span("shard.solve", shard=self.name, mode="process") as sp:
-                x0, donor = service._find_donor(request, fingerprint)
-                trace_context = sp.context().to_dict() if sp.trace_id else None
-                try:
-                    payload = await loop.run_in_executor(
-                        self.process,
-                        _shard_solve,
-                        request.to_dict(), x0, deadline, trace_context,
-                    )
-                except BrokenProcessPool:
-                    service.metrics.record_worker_failure("crash")
-                    self.process.shutdown(wait=False)
-                    self.process = ProcessPoolExecutor(max_workers=1)
-                    service.metrics.record_worker_restart()
-                    # Retry on a transient thread: carry the live context
-                    # instead of a serialized one (same process, new thread).
-                    ctx = contextvars.copy_context()
-                    payload = await loop.run_in_executor(
-                        None,
-                        ctx.run,
-                        partial(_shard_solve, request.to_dict(), x0, deadline),
-                    )
-                remote_spans = payload.pop("_trace", None)
-                if remote_spans and sp.trace_id:
-                    get_tracer().attach_remote(remote_spans, anchor=sp)
-                outcome = SolveOutcome.from_dict(payload)
-                ok = outcome.status in (
-                    Status.OPTIMAL.value, Status.FEASIBLE.value
-                )
-                if ok:
-                    service.admit(request, outcome)
-        finally:
-            self._dispatch_lock.release()
-        service.metrics.record_solve(
-            outcome.wall_time,
-            warm=outcome.warm_started,
-            iterations=outcome.iterations,
-            ok=ok,
-        )
-        if ok:
-            return ServiceResponse.from_outcome(
-                outcome,
-                cached=False,
-                latency=time.perf_counter() - start,
-                donor=donor,
-            )
-        if outcome.status == Status.TIME_LIMIT.value:
-            service.metrics.record_timeout()
-        if service.resilience is not None:
-            # The ladder below exact (stale -> greedy -> typed rejection).
-            return service.fallback(
-                request,
-                fingerprint,
-                reason=f"worker solve ended {outcome.status}",
-                start=start,
-            )
-        return ServiceResponse.from_outcome(
-            outcome, cached=False, latency=time.perf_counter() - start
-        )
+    def _dequeued(self, queued_at: float, call: Callable[[], ServiceResponse]):
+        """Thread side: book the wait for this shard's thread, then solve."""
+        with span("shard.queue", shard=self.name) as queue:
+            pass
+        if queue.trace_id:  # back-date the span to when the request queued
+            queue.start = queue.end - (time.perf_counter() - queued_at)
+        return call()
 
     def close(self) -> None:
         if self.executor is not None:
             self.executor.shutdown(wait=True)
-        if self.process is not None:
-            self.process.shutdown(wait=True)
+        if self.pool is not None:
+            self.pool.shutdown()
 
 
 class AsyncServingTier:
@@ -321,14 +220,16 @@ class AsyncServingTier:
         in multiprocessing's ``_close_stdin`` bootstrap before it ever runs
         a task.  Forking every worker up front, before any transport
         thread exists, sidesteps that entirely — and moves the fork cost
-        off the first request's latency.
+        off the first request's latency.  All pools fork before any is
+        waited on, so the workers start in parallel.
         """
-        loop = asyncio.get_running_loop()
-        pools = [s.process for s in self.shards.values() if s.process is not None]
-        if pools:
-            await asyncio.gather(
-                *(loop.run_in_executor(pool, os.getpid) for pool in pools)
-            )
+        dispatches = [
+            (s.pool, s.pool.submit(os.getpid))
+            for s in self.shards.values()
+            if s.pool is not None
+        ]
+        for pool, dispatch in dispatches:
+            pool.result(dispatch)
 
     async def __aexit__(self, *exc) -> None:
         self.close()
@@ -674,26 +575,8 @@ async def _serve_lines(
     async def handle(payload: dict) -> None:
         try:
             response = await tier.submit_dict(payload, deadline=deadline)
-        except ServiceOverloadError as exc:
-            response = {
-                "error": str(exc),
-                "status": "overload",
-                "retry_after": exc.retry_after,
-            }
-        except ServiceTimeoutError as exc:
-            response = {
-                "error": str(exc),
-                "status": "time_limit",
-                "fingerprint": exc.fingerprint,
-            }
-        except ServiceRejectedError as exc:
-            response = {
-                "error": str(exc),
-                "status": "rejected",
-                "fingerprint": exc.fingerprint,
-            }
         except ServiceError as exc:
-            response = {"error": str(exc)}
+            response = error_envelope(exc)
         if "id" in payload and "id" not in response:
             response["id"] = payload["id"]
         await emit(response)
@@ -738,8 +621,10 @@ def run_requests(
     """Convenience: drive the tier from synchronous code, all-concurrent.
 
     Every request becomes one task on a fresh event loop; the list comes
-    back in input order.  Overloads and rejections surface as error
-    envelopes, mirroring :class:`~repro.service.batch.BatchExecutor`.
+    back in input order, one response per request.  Every
+    :class:`ServiceError` (overload, timeout, rejection, worker death)
+    surfaces as an error envelope, mirroring
+    :class:`~repro.service.batch.BatchExecutor`.
     """
 
     async def _run() -> list[ServiceResponse]:
@@ -748,19 +633,9 @@ def run_requests(
                 return await tier.submit(
                     req, priority=priority, deadline=deadline
                 )
-            except ServiceOverloadError as exc:
-                return ServiceResponse.error(
-                    fingerprint=req.fingerprint(),
-                    status="overload",
-                    message=str(exc),
-                    source="rejected",
-                )
-            except (ServiceTimeoutError, ServiceRejectedError) as exc:
-                return ServiceResponse.error(
-                    fingerprint=req.fingerprint(),
-                    status="rejected",
-                    message=str(exc),
-                    source="rejected",
+            except ServiceError as exc:
+                return ServiceResponse.from_error(
+                    exc, fingerprint=req.fingerprint()
                 )
 
         async with tier:

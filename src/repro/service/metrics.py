@@ -204,11 +204,11 @@ class ServiceMetrics:
         REGISTRY.counter("service_hedges_total").inc()
 
     def record_worker_failure(self, kind: str) -> None:
-        """One worker death booked by the supervised pool (crash or hang).
+        """One worker death (crash or hang), booked by whoever caught it.
 
         The ``service_worker_failures_total`` registry counter is bumped by
-        the pool itself (it fires even on metrics-less pools); this method
-        only maintains the service-local mirror.
+        the supervised pool itself; this method only maintains the
+        service-local mirror.
         """
         if kind == "hang":
             self.worker_hangs += 1

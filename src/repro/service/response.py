@@ -20,10 +20,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.minlp.solution import Status
+from repro.service.errors import (
+    RestartBudgetError,
+    ServiceError,
+    ServiceOverloadError,
+    ServiceRejectedError,
+    ServiceTimeoutError,
+    WorkerCrashError,
+    WorkerHangError,
+)
 from repro.service.solver import SolveOutcome
 
 #: Degradation rungs, best to worst.
 SOURCES = ("exact", "cache", "stale", "greedy", "rejected")
+
+
+def error_envelope(exc: ServiceError) -> dict:
+    """The JSONL answer for a request that failed with ``exc``.
+
+    The one mapping from typed service failures to wire statuses: every
+    transport and every in-process driver answers a failure through it.
+    """
+    envelope: dict = {"error": str(exc)}
+    if isinstance(exc, ServiceOverloadError):
+        envelope.update(status="overload", retry_after=exc.retry_after)
+    elif isinstance(exc, ServiceTimeoutError):
+        envelope.update(
+            status=Status.TIME_LIMIT.value, fingerprint=exc.fingerprint
+        )
+    elif isinstance(exc, ServiceRejectedError):
+        envelope.update(status="rejected", fingerprint=exc.fingerprint)
+    elif isinstance(exc, (WorkerCrashError, WorkerHangError, RestartBudgetError)):
+        envelope["status"] = Status.ERROR.value
+    return envelope
 
 
 @dataclass(frozen=True)
@@ -106,6 +135,19 @@ class ServiceResponse:
             latency=latency,
             message=message,
             source=source,
+        )
+
+    @classmethod
+    def from_error(
+        cls, exc: ServiceError, *, fingerprint: str
+    ) -> "ServiceResponse":
+        """``exc`` as a failed-request envelope (see :func:`error_envelope`)."""
+        status = error_envelope(exc).get("status", Status.ERROR.value)
+        return cls.error(
+            fingerprint=getattr(exc, "fingerprint", "") or fingerprint,
+            status=status,
+            message=str(exc),
+            source="rejected" if status in ("overload", "rejected") else "exact",
         )
 
     def to_dict(self) -> dict:

@@ -40,6 +40,7 @@ import time
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.minlp.cutpool import OACutPool
 from repro.minlp.solution import Status
@@ -47,6 +48,7 @@ from repro.obs.trace import span
 from repro.service.breaker import BreakerPolicy, CircuitBreaker
 from repro.service.cache import SolutionCache
 from repro.service.errors import (
+    RestartBudgetError,
     ServiceRejectedError,
     ServiceTimeoutError,
     WorkerCrashError,
@@ -61,7 +63,9 @@ from repro.service.solver import (
     greedy_outcome,
     solve_request,
     validate_outcome,
+    worker_solve,
 )
+from repro.service.supervisor import SupervisedWorkerPool
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,12 @@ class ResiliencePolicy:
     ``allow_stale`` / ``allow_greedy``
         Switch individual rungs off (a rejected request is still typed).
     ``restart_budget``
-        Worker replacements the supervised pool may spend per batch.
+        Consecutive deaths (with no completed task between them) a
+        supervised worker slot survives; one more and the slot retires.
     ``hang_timeout``
         Harvest timeout (seconds) for pool dispatches when no per-request
         deadline implies one; the backstop that turns a silent worker hang
-        into a typed, retryable failure.
+        into a typed, retryable failure (see :func:`harvest_timeout`).
     ``min_attempt_budget``
         Do not start another attempt with less deadline than this left.
     """
@@ -103,8 +108,29 @@ class ResiliencePolicy:
             raise ValueError("hang_timeout must be positive")
 
 
+def harvest_timeout(
+    deadline: float | None, policy: ResiliencePolicy | None
+) -> float | None:
+    """How long to wait on a pool dispatch before its worker counts as hung.
+
+    The solver's own wall budget enforces ``deadline``; the grace on top
+    only covers process scheduling overhead, capped by the policy's
+    ``hang_timeout``.  With no deadline, ``hang_timeout`` alone applies, and
+    with no policy either, the wait is unbounded.
+    """
+    if deadline is None:
+        return policy.hang_timeout if policy else None
+    grace = 2.0 * deadline + 5.0
+    return min(grace, deadline + policy.hang_timeout) if policy else grace
+
+
 class AllocationService:
-    """High-throughput query engine over the HSLB optimizer."""
+    """High-throughput query engine over the HSLB optimizer.
+
+    With a ``pool``, every solve runs out of process through
+    :func:`~repro.service.solver.worker_solve` on that supervised pool, and
+    the pool's worker restarts are booked into this service's metrics.
+    """
 
     def __init__(
         self,
@@ -117,6 +143,7 @@ class AllocationService:
         chaos=None,  # ChaosPlan | None; annotation-free to avoid an import cycle
         sleeper: Callable[[float], None] = time.sleep,
         share_cuts: bool = False,
+        pool: SupervisedWorkerPool | None = None,
     ) -> None:
         self.cache: SolutionCache[SolveOutcome] = SolutionCache(
             capacity=cache_capacity, ttl=ttl, clock=clock
@@ -140,6 +167,9 @@ class AllocationService:
             from repro.faults.chaos import chaotic_solve
 
             self._solve = chaotic_solve(chaos, solve_request)
+        elif pool is not None:
+            pool.metrics = self.metrics
+            self._solve = partial(self._solve_on, pool)
         else:
             self._solve = (
                 lambda request, *, x0=None, deadline=None, attempt=0: solve_request(
@@ -217,6 +247,13 @@ class AllocationService:
                 outcome = self._solve(
                     request, x0=x0, deadline=budget, attempt=attempt
                 )
+            except RestartBudgetError as exc:
+                # Every worker slot retired: no retry can run, so go
+                # straight to the ladder.
+                last_reason = str(exc)
+                if policy is None:
+                    raise
+                break
             except (WorkerCrashError, WorkerHangError) as exc:
                 self.metrics.record_worker_failure(
                     "hang" if isinstance(exc, WorkerHangError) else "crash"
@@ -271,6 +308,21 @@ class AllocationService:
                 elapsed=time.perf_counter() - start,
             )
         return self.fallback(request, fingerprint, reason=last_reason, start=start)
+
+    def _solve_on(
+        self,
+        pool: SupervisedWorkerPool,
+        request: SolveRequest,
+        *,
+        x0: dict | None = None,
+        deadline: float | None = None,
+        attempt: int = 0,
+    ) -> SolveOutcome:
+        """One solve on a supervised worker; worker deaths raise typed errors."""
+        dispatch = pool.submit(worker_solve, request.to_dict(), x0, deadline)
+        return SolveOutcome.from_dict(
+            pool.result(dispatch, timeout=harvest_timeout(deadline, self.resilience))
+        )
 
     def submit_dict(self, payload: dict, *, deadline: float | None = None) -> dict:
         """Wire-format entry point: dict in, dict out (the JSONL schema)."""

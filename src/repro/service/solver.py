@@ -1,23 +1,26 @@
 """The pure solve at the bottom of the service: request in, outcome out.
 
 Kept free of any cache/metrics state so the same function runs in-process
-(the service's own misses) and inside :class:`~concurrent.futures.\
-ProcessPoolExecutor` workers (the batch executor's fan-out).  Determinism
-rule: the solve RNG is seeded from the request fingerprint, so the same
-canonical request produces a bit-identical answer in any process — the
-property that lets cached responses stand in for fresh solves.
+(the service's own misses) and inside supervised worker processes, where
+:func:`worker_solve` is the one entry point (the batch executor's fan-out
+and the async tier's process-mode shards).  Determinism rule: the solve
+RNG is seeded from the request fingerprint, so the same canonical request
+produces a bit-identical answer in any process — the property that lets
+cached responses stand in for fresh solves.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 from dataclasses import dataclass
 
 from repro.core.builder import AllocationModelBuilder
 from repro.core.objectives import Objective
 from repro.minlp import solve
 from repro.minlp.solution import Solution, Status
+from repro.obs.trace import span
 from repro.service.request import SolveRequest
 from repro.util.rng import default_rng
 
@@ -121,6 +124,18 @@ def solve_request(
         problem, options, algorithm=algorithm, rng=rng, x0=x0, cut_pool=cut_pool
     )
     return _outcome(request, fingerprint, sol, warm_started=x0 is not None)
+
+
+def worker_solve(payload: dict, x0: dict | None, deadline: float | None) -> dict:
+    """The worker-process entry point: wire formats in and out.
+
+    The ``worker.solve`` span carries the worker's pid, so a traced request
+    shows which process ran its solve.
+    """
+    with span("worker.solve", pid=os.getpid(), warm=x0 is not None):
+        return solve_request(
+            SolveRequest.from_dict(payload), x0=x0, deadline=deadline
+        ).to_dict()
 
 
 def _outcome(

@@ -1,19 +1,23 @@
 """Supervised worker pool: per-worker health, crash detection, replacement.
 
-The batch executor used to hand its fan-out to one shared
-:class:`~concurrent.futures.ProcessPoolExecutor`; one worker dying took the
-whole pool (and every in-flight future) with it.  The supervisor instead
-gives each worker its own single-process executor — a **slot** — so
+Every out-of-process solve runs here: the batch executor's fan-out and each
+process-mode shard of the async tier.  A shared
+:class:`~concurrent.futures.ProcessPoolExecutor` loses the whole pool (and
+every in-flight future) when one worker dies.  The supervisor instead gives
+each worker its own single-process executor — a **slot** — so
 
 * a crash (``BrokenProcessPool``) is contained to the slot that died and is
   surfaced as a typed :class:`WorkerCrashError` for *that* request only;
 * a hang (harvest timeout) gets the slot's process killed and surfaces as
   :class:`WorkerHangError` — the stuck request is re-dispatchable, the
   worker is not left orphaned;
-* the dead slot is **replaced** (a fresh executor) under a pool-wide
-  ``restart_budget``; when the budget is gone the slot retires, and when
-  every slot has retired :class:`RestartBudgetError` tells the caller to
-  degrade instead of dispatch.
+* the dead slot is **replaced** (a fresh executor) until it dies more than
+  ``restart_budget`` times in a row with no completed task between; then
+  the slot retires, and when every slot has retired
+  :class:`RestartBudgetError` tells the caller to degrade instead of
+  dispatch.  The budget counts *consecutive* deaths so that a long-lived
+  pool (a tier shard's) survives occasional poison requests;
+  ``restarts_used`` still counts every replacement.
 
 Slots are picked least-inflight-first, so replacement workers rejoin the
 rotation immediately.  An :class:`InlineExecutor` factory runs tasks
@@ -146,8 +150,9 @@ class SupervisedWorkerPool:
 
     ``factory`` builds one worker's executor; the default is a real
     one-process :class:`ProcessPoolExecutor`.  ``metrics`` (a
-    :class:`repro.service.metrics.ServiceMetrics`) receives worker-failure
-    and restart events when provided; the ``service_*`` registry counters
+    :class:`repro.service.metrics.ServiceMetrics`) receives restart events
+    when provided; worker failures reach the caller as typed errors, and
+    whoever catches them books them.  The ``service_*`` registry counters
     are bumped either way.
     """
 
@@ -297,14 +302,12 @@ class SupervisedWorkerPool:
             slot.health.crashes += 1
         slot.health.consecutive_failures += 1
         REGISTRY.counter("service_worker_failures_total").inc(kind=kind)
-        if self.metrics is not None:
-            self.metrics.record_worker_failure(kind)
 
     def _replace(self, slot: _Slot) -> None:
         """Kill the slot's executor and install a fresh one, budget allowing."""
         _kill_executor(slot.executor)
         slot.broken = False
-        if self.restarts_used >= self.restart_budget:
+        if slot.health.consecutive_failures > self.restart_budget:
             slot.retired = True
             return
         self.restarts_used += 1
@@ -346,20 +349,10 @@ def wait_any(
     return done, pending
 
 
-def sleep_until_done(future: Future, timeout: float | None) -> bool:
-    """True when ``future`` completes within ``timeout`` (no exceptions)."""
-    if timeout is None:
-        future.exception()
-        return True
-    done, _ = wait_any([future], timeout)
-    return bool(done)
-
-
 __all__ = [
     "Dispatch",
     "InlineExecutor",
     "SupervisedWorkerPool",
     "WorkerHealth",
-    "sleep_until_done",
     "wait_any",
 ]

@@ -214,7 +214,10 @@ def test_entering_the_tier_preforks_process_workers():
 
     async def main():
         async with tier:
-            return [len(s.process._processes or ()) for s in tier.shards.values()]
+            return [
+                len(s.pool._slots[0].executor._processes or ())
+                for s in tier.shards.values()
+            ]
 
     workers_per_shard = asyncio.run(main())
     assert workers_per_shard and all(n >= 1 for n in workers_per_shard)

@@ -18,7 +18,7 @@ from repro.service import (
     WorkerCrashError,
     WorkerHangError,
 )
-from repro.service.supervisor import sleep_until_done, wait_any
+from repro.service.supervisor import wait_any
 
 
 # Pool tasks must be module-level (picklable) for the real-process cases.
@@ -107,6 +107,19 @@ def test_restart_budget_exhaustion_retires_the_pool():
             pool.submit(_double, 1)
 
 
+def test_restart_budget_counts_consecutive_deaths_only():
+    """A completed task between two deaths resets the slot's budget."""
+    with SupervisedWorkerPool.inline(1, restart_budget=1) as pool:
+        with pytest.raises(WorkerCrashError):
+            pool.result(pool.submit(_raise_crash))
+        assert pool.result(pool.submit(_double, 2)) == 4
+        with pytest.raises(WorkerCrashError):
+            pool.result(pool.submit(_raise_crash))
+        assert pool.capacity == 1
+        assert pool.result(pool.submit(_double, 3)) == 6
+        assert pool.snapshot()["restarts_used"] == 2  # lifetime count
+
+
 def test_real_worker_kill_is_contained_and_recovered():
     """An ``os._exit`` in a worker process must not take the pool down."""
     with SupervisedWorkerPool(2, restart_budget=2) as pool:
@@ -144,7 +157,6 @@ def test_wait_helpers():
         d = pool.submit(_double, 4)
         done, pending = wait_any([d.future], timeout=1.0)
         assert d.future in done and not pending
-        assert sleep_until_done(d.future, timeout=1.0)
 
 
 def test_inline_executor_wraps_results_and_exceptions():
