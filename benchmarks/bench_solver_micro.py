@@ -8,15 +8,16 @@ as benchmark deltas rather than mysteriously slow tables.
 import json
 import os
 import pathlib
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from repro.cesm.grids import one_degree
 from repro.cesm.layouts import Layout, formulate_layout
 from repro.minlp import Model, solve_minlp_oa
 from repro.minlp.linprog import IncrementalLPSolver, LinearProgram, solve_lp
-from repro.minlp.simplex import solve_lp_simplex
 from repro.perf.fitting import fit_performance_model
 from repro.perf.model import PerformanceModel
 from repro.util.rng import default_rng
@@ -27,6 +28,28 @@ _MODELS = {
     "atm": PerformanceModel(a=27380.0, d=43.0),
     "ocn": PerformanceModel(a=7550.0, d=45.0),
 }
+
+#: Environment variables that size the BLAS/OpenMP thread pools.
+_BLAS_THREAD_ENV = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
+
+
+def _host_record() -> dict:
+    """Which host produced the timings; ``check_bench.py`` never gates it."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity
+        cores = os.cpu_count() or 1
+    return {
+        "cores": cores,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **{k: os.environ.get(k, "unset") for k in _BLAS_THREAD_ENV},
+    }
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -60,6 +83,7 @@ def _micro_baseline(request):
             out[getattr(bench, "name", "bench")] = record
     if not out:
         return
+    out["_host"] = _host_record()
     override = os.environ.get("HSLB_BENCH_OUT")
     if override:
         path = pathlib.Path(override)
@@ -88,28 +112,6 @@ def test_lp_highs_backend(benchmark):
     assert result.status.value == "optimal"
 
 
-def test_lp_pure_python_simplex(benchmark):
-    lp = _random_lp(n=15, m=10)
-    result = benchmark(lambda: solve_lp_simplex(lp))
-    assert result.status.value == "optimal"
-
-
-def test_lp_simplex_warm_restart(benchmark):
-    """Child-node re-solve from the parent basis (the B&B inner loop)."""
-    parent = _random_lp(n=15, m=10)
-    root = solve_lp_simplex(parent)
-    assert root.basis is not None
-    child_ub = parent.var_ub.copy()
-    child_ub[3] = 4.0
-    child = LinearProgram(
-        c=parent.c, A=parent.A, row_lb=parent.row_lb, row_ub=parent.row_ub,
-        var_lb=parent.var_lb, var_ub=child_ub,
-    )
-    result = benchmark(lambda: solve_lp_simplex(child, basis=root.basis))
-    assert result.status.value == "optimal"
-    assert result.warm_started
-
-
 def _bnb_knapsack(items, seed=0):
     rng = default_rng(seed)
     value = rng.uniform(1.0, 10.0, items)
@@ -123,13 +125,11 @@ def _bnb_knapsack(items, seed=0):
 
 @pytest.mark.parametrize("items", [8, 16, 28], ids=["small", "medium", "large"])
 def test_bnb_node_throughput(benchmark, items):
-    """B&B node throughput (simplex backend, parent-basis reuse on)."""
-    from repro.minlp import BnBOptions
+    """B&B node throughput over HiGHS LP relaxations."""
     from repro.minlp.milp import solve_milp
 
     problem = _bnb_knapsack(items)
-    opts = BnBOptions(lp_backend="simplex", basis_reuse=True)
-    sol = benchmark.pedantic(lambda: solve_milp(problem, opts), rounds=3, iterations=1)
+    sol = benchmark.pedantic(lambda: solve_milp(problem), rounds=3, iterations=1)
     assert sol.status.value == "optimal"
     benchmark.extra_info["nodes"] = sol.stats.nodes_explored
 

@@ -59,15 +59,16 @@ class _Node:
     # Pseudocost bookkeeping: how this node was created.
     branch_var: str | None = None
     branch_frac: float = 0.0  # fractional distance moved by the branching
-    # Parent node's final simplex basis (a SimplexBasis), inherited so the
-    # child LP warm-starts via dual-simplex restoration instead of a cold
-    # two-phase solve.  None at the root or when the LP backend is HiGHS.
-    basis: object | None = None
 
 
 @dataclass
 class BnBOptions:
-    """Knobs for the tree search."""
+    """Knobs for the tree search.
+
+    LP relaxations (``relax_solver="lp"``) always go to HiGHS through
+    :class:`repro.minlp.linprog.IncrementalLPSolver`; no option selects the
+    LP engine.
+    """
 
     int_tol: float = 1e-6
     gap_abs: float = 1e-7
@@ -76,17 +77,6 @@ class BnBOptions:
     time_limit: float = 120.0
     branch_rule: str = "most_fractional"  # or "first_fractional"/"pseudocost"
     sos_branching: bool = True  # False: branch SOS members as plain binaries
-    #: LP relaxation backend: "highs" (scipy), "simplex" (built-in vectorized
-    #: simplex with basis reuse), or "auto" (simplex while the instance fits
-    #: its dense-tableau sweet spot, HiGHS beyond).  Default stays "highs":
-    #: on degenerate allocation LPs the two backends legitimately return
-    #: different optimal vertices, and downstream experiments pin their
-    #: expectations to HiGHS's choice.
-    lp_backend: str = "highs"
-    #: Hand each child node its parent's final basis (simplex backend only).
-    #: Node solutions are bit-identical with this on or off; off forces a
-    #: cold two-phase solve per node (the baseline the benchmarks compare).
-    basis_reuse: bool = True
     log: Callable[[str], None] | None = None
 
     def with_budget(
@@ -144,7 +134,7 @@ class BranchAndBound:
             # and cuts only append rows (no symbolic rebuilds).
             from repro.minlp.linprog import IncrementalLPSolver
 
-            self._incremental = IncrementalLPSolver(problem, backend=self.opts.lp_backend)
+            self._incremental = IncrementalLPSolver(problem)
             self.relax = None
         elif callable(relax_solver):
             self.relax = relax_solver
@@ -330,12 +320,8 @@ class BranchAndBound:
                 continue
 
             stats.nodes_explored += 1
-            node_basis = None
             if self._incremental is not None:
-                prior = node.basis if opts.basis_reuse else None
-                rel = self._incremental.solve(node.bounds, basis=prior)
-                if opts.basis_reuse:
-                    node_basis = self._incremental.last_basis
+                rel = self._incremental.solve(node.bounds)
             else:
                 rel = self.relax(self._node_problem(node))
             stats.lp_solves += rel.stats.lp_solves
@@ -397,10 +383,7 @@ class BranchAndBound:
                             added += 1
                     stats.cuts_added += added
                     if added:
-                        # Re-queue this node: its relaxation changed.  Its own
-                        # final basis extends naturally across the appended
-                        # cut rows, so the re-solve is a few dual pivots.
-                        node.basis = node_basis
+                        # Re-queue this node: its relaxation changed.
                         heapq.heappush(heap, (bound, next(counter), node))
                         continue
                 obj_signed = sign * rel.objective
@@ -424,7 +407,6 @@ class BranchAndBound:
                 children = self._branch_int(node, name, values[name])
             for child in children:
                 child.parent_bound = bound
-                child.basis = node_basis
                 heapq.heappush(heap, (bound, next(counter), child))
 
         stats.wall_time = timer.stop()

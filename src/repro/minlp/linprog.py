@@ -1,11 +1,10 @@
 """Linear-programming layer.
 
-Canonical LP container plus two interchangeable backends:
-
-* :func:`solve_lp` — scipy's HiGHS (the production path, standing in for the
-  CLP solver MINOTAUR uses for its LP relaxations);
-* :func:`repro.minlp.simplex.solve_lp_simplex` — a pure-Python two-phase
-  simplex used as a validation oracle and as a dependency-free fallback.
+Canonical LP container and its one backend, scipy's HiGHS, standing in for
+the CLP solver MINOTAUR uses for its LP relaxations.  :func:`solve_lp` solves
+a standalone :class:`LinearProgram`; :class:`IncrementalLPSolver` re-solves a
+cached matrix under bound overrides and appended cut rows (the
+branch-and-bound inner loop).
 
 LPs here are stated over **row ranges**: minimize ``c·x + c0`` subject to
 ``row_lb <= A x <= row_ub`` and ``var_lb <= x <= var_ub``.  That matches how
@@ -24,7 +23,6 @@ from scipy.optimize import linprog as _scipy_linprog
 
 from repro.minlp.problem import Problem
 from repro.minlp.solution import Solution, SolveStats, Status
-from repro.obs import telemetry
 
 
 @dataclass
@@ -101,14 +99,6 @@ class LPResult:
     x: np.ndarray | None
     objective: float
     message: str = ""
-    #: Final simplex basis (a :class:`repro.minlp.simplex.SimplexBasis`) when
-    #: the built-in backend solved this LP; None for HiGHS solves.  Feed it
-    #: back via ``solve_lp_simplex(..., basis=...)`` to warm-start a related
-    #: solve (branch-and-bound child nodes do exactly this).
-    basis: object | None = None
-    #: True when a supplied basis was structurally compatible and actually
-    #: seeded this solve (the hit/miss signal behind ``solver_basis_reuse``).
-    warm_started: bool = False
 
     def values(self, lp: LinearProgram) -> dict[str, float]:
         if self.x is None:
@@ -184,16 +174,8 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     )
 
 
-#: "auto" backend routes an LP to the built-in vectorized simplex while it
-#: stays within this dense-tableau sweet spot, and to HiGHS beyond it.  The
-#: crossover is where one dense refactorization (m^3/3 flops) overtakes
-#: scipy's per-call wrapper overhead (~1.5 ms on typical hardware).
-_AUTO_SIMPLEX_MAX_ROWS = 72
-_AUTO_SIMPLEX_MAX_COLS = 96
-
-
 class IncrementalLPSolver:
-    """LP relaxation engine with a cached matrix form and basis reuse.
+    """LP relaxation engine with a cached matrix form.
 
     Branch-and-bound solves thousands of LPs that differ from the root only
     in variable bounds and appended cut rows.  Rebuilding the symbolic
@@ -202,23 +184,11 @@ class IncrementalLPSolver:
     class extracts the matrix once, consolidates appended cut rows lazily,
     and caches the HiGHS eq/ub row split so a node re-solve touches no
     Python-level row loop at all.
-
-    ``backend`` picks the LP engine per solve: ``"highs"`` (scipy),
-    ``"simplex"`` (the built-in vectorized simplex, which accepts a parent
-    basis and warm-starts dual-simplex style), or ``"auto"`` (simplex while
-    the instance is small enough for its dense tableau to beat scipy's
-    call overhead, HiGHS beyond that).  After every simplex-backed solve the
-    final basis is published on :attr:`last_basis` for the caller to hand to
-    child-node solves.
     """
 
-    def __init__(self, problem: Problem, backend: str = "highs") -> None:
+    def __init__(self, problem: Problem) -> None:
         if not problem.is_linear():
             raise ValueError(f"{problem.name!r} has nonlinear pieces")
-        if backend not in ("highs", "simplex", "auto"):
-            raise ValueError(f"unknown LP backend {backend!r}")
-        self._problem = problem
-        self._backend = backend
         self._sign = -1.0 if problem.sense.value == "maximize" else 1.0
         c, c0, A, row_lb, row_ub, var_lb, var_ub = problem.linear_matrix_form()
         self._c = self._sign * c
@@ -226,15 +196,12 @@ class IncrementalLPSolver:
         self._blocks: list[np.ndarray] = [np.atleast_2d(A)] if A.size else []
         self._lb_blocks: list[np.ndarray] = [np.asarray(row_lb, dtype=float)]
         self._ub_blocks: list[np.ndarray] = [np.asarray(row_ub, dtype=float)]
-        self._num_rows = int(A.shape[0])
         self._base_lb = var_lb
         self._base_ub = var_ub
         self._names = problem.variable_names
         self._col = {n: j for j, n in enumerate(self._names)}
         self._matrix_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._split_cache: tuple | None = None
-        #: Final basis of the most recent simplex-backed solve (or None).
-        self.last_basis = None
 
     def add_row(self, body, lb: float, ub: float) -> None:
         """Append a (linear) cut row, e.g. an outer-approximation cut."""
@@ -245,7 +212,6 @@ class IncrementalLPSolver:
         self._blocks.append(row[None, :])
         self._lb_blocks.append(np.array([lb - k]))
         self._ub_blocks.append(np.array([ub - k]))
-        self._num_rows += 1
         self._matrix_cache = None
         self._split_cache = None
 
@@ -270,29 +236,8 @@ class IncrementalLPSolver:
             self._split_cache = _split_rows(A, row_lb, row_ub)
         return self._split_cache
 
-    def _resolve_backend(self) -> str:
-        if self._backend != "auto":
-            return self._backend
-        if (
-            self._num_rows <= _AUTO_SIMPLEX_MAX_ROWS
-            and self._c.size <= _AUTO_SIMPLEX_MAX_COLS
-        ):
-            return "simplex"
-        return "highs"
-
-    def solve(
-        self,
-        bounds: Mapping[str, tuple[float, float]],
-        basis=None,
-    ) -> Solution:
-        """Solve with per-variable bound overrides (intersected with base).
-
-        ``basis`` optionally carries a parent node's final simplex basis;
-        when the simplex backend handles this solve it warm-starts from it
-        (dual-simplex restoration after the bound change) instead of
-        re-running two-phase simplex from artificials.  Reuse hits/misses
-        are recorded under the ``solver_basis_reuse_total`` metric.
-        """
+    def solve(self, bounds: Mapping[str, tuple[float, float]]) -> Solution:
+        """Solve with per-variable bound overrides (intersected with base)."""
         var_lb = self._base_lb.copy()
         var_ub = self._base_ub.copy()
         for name, (lo, hi) in bounds.items():
@@ -305,15 +250,8 @@ class IncrementalLPSolver:
                     stats=SolveStats(),
                     message=f"crossed bounds on {name}",
                 )
-        backend = self._resolve_backend()
         stats = SolveStats(lp_solves=1)
-        if backend == "simplex":
-            res = self._solve_simplex(var_lb, var_ub, basis)
-        else:
-            self.last_basis = None
-            res = _run_highs(self._c, self._c0, self._split(), var_lb, var_ub)
-        if basis is not None:
-            telemetry.record_basis_reuse("hit" if res.warm_started else "miss")
+        res = _run_highs(self._c, self._c0, self._split(), var_lb, var_ub)
         if res.status is not Status.OPTIMAL:
             return Solution(res.status, stats=stats, message=res.message)
         values = {n: float(v) for n, v in zip(self._names, res.x)}
@@ -321,28 +259,6 @@ class IncrementalLPSolver:
         return Solution(
             Status.OPTIMAL, values=values, objective=obj, bound=obj, stats=stats
         )
-
-    def _solve_simplex(self, var_lb, var_ub, basis) -> LPResult:
-        from repro.minlp.simplex import solve_lp_simplex
-
-        A, row_lb, row_ub = self._matrix()
-        lp = LinearProgram(
-            c=self._c,
-            A=A,
-            row_lb=row_lb,
-            row_ub=row_ub,
-            var_lb=var_lb,
-            var_ub=var_ub,
-            c0=self._c0,
-            names=self._names,
-        )
-        res = solve_lp_simplex(lp, basis=basis)
-        if res.status in (Status.ITERATION_LIMIT, Status.ERROR):
-            # Numerical trouble in the dense tableau: HiGHS is the safety net.
-            self.last_basis = None
-            return _run_highs(self._c, self._c0, self._split(), var_lb, var_ub)
-        self.last_basis = res.basis
-        return res
 
 
 def solve_problem_lp(problem: Problem) -> Solution:

@@ -26,8 +26,6 @@ def ensure_registered() -> None:
     REGISTRY.counter("solver_cuts_added_total", "OA linearization cuts added")
     REGISTRY.counter("solver_incumbent_updates_total", "incumbent improvements")
     REGISTRY.counter("solver_warm_starts_total", "x0 warm-start attempts")
-    REGISTRY.counter("solver_basis_reuse_total", "B&B parent-basis reuse hits/misses")
-    REGISTRY.counter("solver_simplex_pivots_total", "simplex pivots by phase")
     REGISTRY.counter("solver_cut_pool_total", "OA cut-pool events")
     REGISTRY.histogram("solver_wall_seconds", "per-solve wall time")
     REGISTRY.counter("hslb_degradations_total", "solver tier fallbacks")
@@ -91,39 +89,6 @@ def record_solve(algorithm: str, stats, status: str) -> None:
 
 def record_warm_start(used: bool) -> None:
     REGISTRY.counter("solver_warm_starts_total").inc(used=str(bool(used)).lower())
-
-
-def record_basis_reuse(outcome: str) -> None:
-    """A node LP was offered a parent basis; ``outcome`` is "hit" or "miss"."""
-    REGISTRY.counter("solver_basis_reuse_total").inc(outcome=outcome)
-    if _TR.enabled:
-        _TR.event("simplex.basis_reuse", outcome=outcome)
-
-
-def record_simplex(
-    phase1: int, phase2: int, dual: int, warm: bool, attempted: bool
-) -> None:
-    """Fold one simplex solve's pivot counts into the registry.
-
-    ``dual`` counts dual-simplex restoration pivots during a warm start;
-    ``attempted``/``warm`` distinguish "no basis offered" from a reuse miss.
-    """
-    c = REGISTRY.counter("solver_simplex_pivots_total")
-    if phase1:
-        c.inc(phase1, phase="phase1")
-    if phase2:
-        c.inc(phase2, phase="phase2")
-    if dual:
-        c.inc(dual, phase="dual")
-    if _TR.enabled:
-        _TR.event(
-            "simplex.solve",
-            phase1=phase1,
-            phase2=phase2,
-            dual=dual,
-            warm=warm,
-            attempted=attempted,
-        )
 
 
 def record_cut_pool(event: str, count: int = 1) -> None:

@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as scipy_linprog
 
 from repro.minlp.expr import VarRef
-from repro.minlp.linprog import LinearProgram, solve_lp, solve_problem_lp
+from repro.minlp.linprog import (
+    IncrementalLPSolver,
+    LinearProgram,
+    solve_lp,
+    solve_problem_lp,
+)
+from repro.minlp.modeling import Model
 from repro.minlp.problem import Problem, Sense
 from repro.minlp.solution import Status
 
@@ -58,6 +65,118 @@ def test_infeasible():
 def test_unbounded():
     lp = _lp([-1], np.zeros((0, 1)), [], [], [0], [math.inf])
     assert solve_lp(lp).status is Status.UNBOUNDED
+
+
+@pytest.mark.parametrize(
+    "lp, objective, x",
+    [
+        pytest.param(
+            # min x s.t. x >= -7 with x free: the optimum sits below zero.
+            _lp([1], [[1]], [-7], [math.inf], [-math.inf], [math.inf]),
+            -7.0, [-7.0], id="free-negative",
+        ),
+        pytest.param(
+            # min -x s.t. x >= -50 (row) and x <= 9, its only bound.
+            _lp([-1], [[1]], [-50], [math.inf], [-math.inf], [9]),
+            -9.0, [9.0], id="upper-only",
+        ),
+        pytest.param(
+            # min x - y over the box [2.5, 7] x [-3, 4] with a (0, 2) matrix.
+            _lp([1, -1], np.zeros((0, 2)), [], [], [2.5, -3.0], [7.0, 4.0]),
+            -1.5, [2.5, 4.0], id="shifted-no-rows",
+        ),
+        pytest.param(
+            # x + y = 2 stated three times (once scaled): min x + 2y -> (2, 0).
+            _lp([1, 2], [[1, 1], [1, 1], [2, 2]], [2, 2, 4], [2, 2, 4], [0, 0], [5, 5]),
+            2.0, [2.0, 0.0], id="duplicated-equalities",
+        ),
+        pytest.param(
+            # y has only an upper bound and a positive cost: no rows needed
+            # for min x + y to run off to -inf.
+            _lp([1, 1], np.zeros((0, 2)), [], [], [0.0, -math.inf], [1.0, 5.0]),
+            None, None, id="box-only-unbounded",
+        ),
+    ],
+)
+def test_edge_shape_closed_form(lp, objective, x):
+    res = solve_lp(lp)
+    if objective is None:
+        assert res.status is Status.UNBOUNDED
+        return
+    assert res.status is Status.OPTIMAL
+    assert res.objective == pytest.approx(objective)
+    np.testing.assert_allclose(res.x, x, atol=1e-9)
+
+
+def _random_lp(rng, n, m, *, degenerate=False, redundant=False, free=False):
+    A = rng.normal(size=(m, n))
+    b = A @ rng.uniform(0.0, 1.0, n)
+    row_lb = b - rng.uniform(0.1, 1.0, m)
+    row_ub = b + rng.uniform(0.1, 1.0, m)
+    var_lb = np.zeros(n)
+    var_ub = np.ones(n)
+    if degenerate:
+        # Equality rows through a common point create degenerate vertices.
+        k = max(1, m // 2)
+        row_lb[:k] = row_ub[:k] = b[:k]
+    if redundant:
+        A = np.vstack([A, A[0] * 2.0])
+        row_lb = np.append(row_lb, row_lb[0] * 2.0)
+        row_ub = np.append(row_ub, row_ub[0] * 2.0)
+    if free:
+        var_lb[0], var_ub[0] = -math.inf, math.inf
+        var_lb[1 % n] = -math.inf  # only an upper bound
+    return LinearProgram(
+        c=rng.normal(size=n),
+        A=A,
+        row_lb=row_lb,
+        row_ub=row_ub,
+        var_lb=var_lb,
+        var_ub=var_ub,
+    )
+
+
+def _naive_split_objective(lp):
+    """Oracle: every finite row side as its own <= row, no equality rows."""
+    upper = np.isfinite(lp.row_ub)
+    lower = np.isfinite(lp.row_lb)
+    res = scipy_linprog(
+        c=lp.c,
+        A_ub=np.vstack([lp.A[upper], -lp.A[lower]]),
+        b_ub=np.concatenate([lp.row_ub[upper], -lp.row_lb[lower]]),
+        bounds=np.column_stack([lp.var_lb, lp.var_ub]),
+        method="highs",
+    )
+    return res.status, res.fun
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {},
+        {"degenerate": True},
+        {"redundant": True},
+        {"free": True},
+        {"degenerate": True, "redundant": True, "free": True},
+    ],
+    ids=["plain", "degenerate", "redundant", "free", "all"],
+)
+def test_random_shapes_match_naive_split(shape):
+    """The range-row split agrees with a naive <=-only formulation."""
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        m = int(rng.integers(1, 8))
+        lp = _random_lp(rng, n, m, **shape)
+        res = solve_lp(lp)
+        status, objective = _naive_split_objective(lp)
+        if res.status is Status.OPTIMAL:
+            assert status == 0, seed
+            assert res.objective == pytest.approx(objective, abs=1e-7)
+            assert np.all(lp.A @ res.x <= lp.row_ub + 1e-7)
+            assert np.all(lp.A @ res.x >= lp.row_lb - 1e-7)
+        else:
+            assert status != 0, (seed, res.message)
 
 
 def test_constant_offset_carried():
@@ -114,3 +233,22 @@ def test_lp_result_values_mapping():
     vals = res.values(lp)
     assert set(vals) == {"a", "b"}
     assert vals["a"] + vals["b"] == pytest.approx(2.0)
+
+
+def test_incremental_solver_add_row_invalidates_cache():
+    rng = np.random.default_rng(1)
+    value = rng.uniform(1.0, 10.0, 5)
+    weight = rng.uniform(1.0, 5.0, 5)
+    m = Model("knapsack")
+    xs = [m.binary_var(f"x{i}") for i in range(5)]
+    m.add(sum(float(weight[i]) * xs[i] for i in range(5)) <= float(weight.sum()) / 2)
+    m.maximize(sum(float(value[i]) * xs[i] for i in range(5)))
+    solver = IncrementalLPSolver(m.build())
+    first = solver.solve({})
+    assert first.status is Status.OPTIMAL
+    # A cut that actually binds: forbid the current all-or-nothing optimum.
+    body = sum(VarRef(f"x{i}") for i in range(5))
+    solver.add_row(body, -math.inf, 2.0)
+    second = solver.solve({})
+    assert second.status is Status.OPTIMAL
+    assert sum(v for k, v in second.values.items() if k.startswith("x")) <= 2 + 1e-9
