@@ -71,12 +71,15 @@ asyncserve-bench:
 		--baseline benchmarks/out/BENCH_asyncserve.json
 	rm -f benchmarks/out/BENCH_asyncserve.fresh.json
 
-# Seeded chaos suite plus a 250-request soak under injected faults; fails
-# if any request is lost. Writes benchmarks/out/chaos_metrics.json.
+# Seeded chaos suite plus a 250-request soak under injected faults and a
+# 60-request soak through the 2-worker batch fan-out; each fails if any
+# request is lost. Writes benchmarks/out/chaos_metrics.json.
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/service/test_chaos.py tests/faults/test_chaos_plan.py -q
 	PYTHONPATH=src $(PYTHON) -m repro chaos --requests 250 --deadline 10 \
 		--chaos-seed 20260808 --metrics-out benchmarks/out/chaos_metrics.json
+	PYTHONPATH=src $(PYTHON) -m repro chaos --requests 60 --workers 2 \
+		--deadline 10 --chaos-seed 20260808
 
 # Tracing overhead (off / on / on + export); writes
 # benchmarks/out/obs_overhead.txt.

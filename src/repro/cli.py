@@ -145,12 +145,6 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         help="solve attempts per request before degrading (resilient mode)",
     )
     group.add_argument(
-        "--hedge-after",
-        type=float,
-        default=None,
-        help="seconds before a straggler dispatch gets a hedged duplicate",
-    )
-    group.add_argument(
         "--breaker-threshold",
         type=int,
         default=3,
@@ -279,9 +273,7 @@ def _resilience_from_args(args: argparse.Namespace, *, forced: bool = False):
     from repro.service import BreakerPolicy, ResiliencePolicy, RetryPolicy
 
     policy = ResiliencePolicy(
-        retry=RetryPolicy(
-            max_attempts=max(1, args.retries), hedge_after=args.hedge_after
-        ),
+        retry=RetryPolicy(max_attempts=max(1, args.retries)),
         breaker=BreakerPolicy(
             failure_threshold=args.breaker_threshold,
             reset_timeout=args.breaker_reset,
@@ -1281,6 +1273,15 @@ def _chaos_mix(count: int, families: int) -> list:
     return requests
 
 
+#: The fault mix ``hslb chaos`` injects when no ``--chaos-*`` rate is given.
+_CHAOS_DEFAULT_RATES = dict(
+    chaos_crash_rate=0.15,
+    chaos_hang_rate=0.05,
+    chaos_slow_rate=0.10,
+    chaos_corrupt_rate=0.05,
+)
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
     from collections import Counter
@@ -1295,16 +1296,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 2
     # A chaos soak with nothing injected proves nothing: default to a
     # meaningful fault mix unless the caller picked their own rates.
-    if not (
-        args.chaos_crash_rate
-        or args.chaos_hang_rate
-        or args.chaos_slow_rate
-        or args.chaos_corrupt_rate
-    ):
-        args.chaos_crash_rate = 0.15
-        args.chaos_hang_rate = 0.05
-        args.chaos_slow_rate = 0.10
-        args.chaos_corrupt_rate = 0.05
+    if not any(getattr(args, rate) for rate in _CHAOS_DEFAULT_RATES):
+        vars(args).update(_CHAOS_DEFAULT_RATES)
     try:
         service = _service_from_args(args, forced_resilience=True)
     except ValueError as exc:

@@ -37,6 +37,16 @@ EXACT_SAMPLE_CAP = 1024
 _LabelKey = tuple[tuple[str, str], ...]
 
 
+def exact_quantile(samples: Sequence[float], q: float) -> float:
+    """Linear-interpolated order statistic of ``samples`` (must be sorted)."""
+    if not samples:
+        return 0.0
+    pos = q * (len(samples) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(samples) - 1)
+    return samples[lo] + (samples[hi] - samples[lo]) * (pos - lo)
+
+
 def _label_key(labels: dict[str, str]) -> _LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
@@ -191,11 +201,7 @@ class Histogram(Metric):
                 return 0.0
             retained = self._samples.get(key, [])
             if total <= len(retained):
-                retained = sorted(retained)
-                pos = q * (total - 1)
-                lo = int(pos)
-                hi = min(lo + 1, total - 1)
-                return retained[lo] + (retained[hi] - retained[lo]) * (pos - lo)
+                return exact_quantile(sorted(retained), q)
             target = q * total
             seen = 0
             lower = 0.0

@@ -18,7 +18,7 @@ Layers (each its own module, composable in isolation):
   the degradation ladder (exact → stale → greedy → typed rejection);
 * :mod:`~repro.service.supervisor` — crash-isolating worker pool with
   per-worker health and bounded restarts;
-* :mod:`~repro.service.retry`      — deterministic capped backoff + hedging;
+* :mod:`~repro.service.retry`      — deterministic capped backoff;
 * :mod:`~repro.service.breaker`    — per-family circuit breaker;
 * :mod:`~repro.service.batch`      — dedup, donor ordering, supervised
   process fan-out, deadlines, admission backpressure;

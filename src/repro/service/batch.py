@@ -14,40 +14,42 @@ A batch is answered in four moves:
    member of the family fans out with an ``x0`` seed;
 4. **fan-out** — remaining misses run on a
    :class:`~repro.service.supervisor.SupervisedWorkerPool` of single-process
-   executors (``max_workers > 0``) or serially in-process
-   (``max_workers == 0``, the deterministic mode tests use).
+   executors (``max_workers > 0``), at most one dispatch per worker slot,
+   or serially in-process (``max_workers == 0``, the deterministic mode
+   tests use).  Each request walks the service's own attempt loop
+   (:meth:`~repro.service.service.AllocationService.settle`): a worker
+   crash or hang costs only the attempt that worker ran, and the request
+   retries on its own after its deterministic backoff, drawing the same
+   chaos fault key for attempt k as a serial submit would.  Requests that
+   exhaust their retries walk the service's degradation ladder instead of
+   failing the batch.
 
-The fan-out is **resilient** when the service carries a
-:class:`~repro.service.service.ResiliencePolicy`: a worker crash or hang is
-contained to its slot, booked against that worker's health, and the victim
-request is re-dispatched (idempotent — solves are fingerprint-seeded) with
-deterministic backoff between rounds; straggler dispatches optionally get a
-hedged duplicate, first answer wins; requests that exhaust their retries
-walk the service's degradation ladder instead of failing the batch.  A
-request that cannot even be rejected cleanly does not exist: every slot of
-the input gets a response or a typed error envelope.
+A request that cannot even be rejected cleanly does not exist: every slot
+of the input gets a response or a typed error envelope.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+import time
+from collections import deque
+from collections.abc import Callable, Sequence
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from functools import partial
 
-from repro.minlp.solution import Status
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import span
-from repro.service.errors import (
-    RestartBudgetError,
-    ServiceError,
-    ServiceOverloadError,
-    ServiceRejectedError,
-    WorkerCrashError,
-    WorkerHangError,
-)
+from repro.service.errors import ServiceError, ServiceOverloadError
 from repro.service.request import SolveRequest
 from repro.service.response import ServiceResponse
-from repro.service.service import AllocationService, harvest_timeout
-from repro.service.solver import SolveOutcome, validate_outcome, worker_solve
-from repro.service.supervisor import Dispatch, SupervisedWorkerPool, wait_any
+from repro.service.service import (
+    WORKER_ERRORS,
+    AllocationService,
+    Attempt,
+    harvest_timeout,
+)
+from repro.service.solver import SolveOutcome
+from repro.service.supervisor import Dispatch, SupervisedWorkerPool
 
 
 class BatchExecutor:
@@ -188,207 +190,78 @@ class BatchExecutor:
         remaining: dict[str, SolveRequest],
         answered: dict[str, ServiceResponse],
     ) -> None:
+        """Solve ``remaining`` on a supervised pool, one dispatch per slot.
+
+        Each request walks the service's attempt loop on its own:
+        :meth:`AllocationService.settle` books every harvested outcome or
+        worker error, then answers the request or hands back its next try.
+        """
         service = self.service
         policy = service.resilience
-        attempts = policy.retry.max_attempts if policy else 1
-        restart_budget = policy.restart_budget if policy else 3
+        queue: deque[Attempt] = deque()
+
+        def advance(fp: str, step: Callable, *args) -> None:
+            try:
+                result = step(*args)
+            except ServiceError as exc:
+                result = ServiceResponse.from_error(exc, fingerprint=fp)
+            if isinstance(result, Attempt):
+                queue.append(result)
+            else:
+                answered[fp] = result
+
+        # Donors are looked up before any fan-out answer lands, so a
+        # request's warm start never depends on harvest order.
+        for fp, req in remaining.items():
+            advance(fp, partial(service.open_attempt, deadline=self.deadline), req, fp)
         pool = SupervisedWorkerPool(
             self.max_workers,
-            restart_budget=restart_budget,
+            restart_budget=policy.restart_budget if policy else 3,
             metrics=service.metrics,
         )
-        # Per-fingerprint context: (request, x0, donor, last failure reason).
-        donors = {
-            fp: service._find_donor(req, fp) for fp, req in remaining.items()
-        }
-        pending = dict(remaining)
-        reasons: dict[str, str] = {}
+        # future -> (attempt, dispatch, time past which its worker is hung)
+        running: dict[Future, tuple[Attempt, Dispatch, float]] = {}
         try:
-            for attempt in range(attempts):
-                if not pending:
-                    break
-                if attempt and policy:
-                    service.sleeper(policy.retry.backoff("batch", attempt))
-                pending = self._fan_round(
-                    pool, pending, donors, answered, reasons, attempt
+            while queue or running:
+                # One dispatch per live slot, so a worker death costs only
+                # the attempt it ran.  Once every slot has retired, submit
+                # raises RestartBudgetError and settle picks the ladder.
+                while queue and len(running) < max(pool.capacity, 1):
+                    attempt = queue.popleft()
+                    if not attempt.number:
+                        attempt.start = time.perf_counter()  # deadline clock
+                    budget = attempt.budget()
+                    try:
+                        dispatch = pool.submit(*service.pool_task(
+                            attempt.request, x0=attempt.x0, deadline=budget,
+                            attempt=attempt.number,
+                        ))
+                    except WORKER_ERRORS as exc:
+                        advance(attempt.fingerprint, service.settle, attempt, exc)
+                        continue
+                    grace = harvest_timeout(budget, policy)
+                    hung_at = math.inf if grace is None else time.perf_counter() + grace
+                    running[dispatch.future] = (attempt, dispatch, hung_at)
+                if not running:
+                    continue
+                soonest = min(hung_at for *_, hung_at in running.values())
+                wait(
+                    running,
+                    timeout=(
+                        None if soonest == math.inf
+                        else max(0.0, soonest - time.perf_counter())
+                    ),
+                    return_when=FIRST_COMPLETED,
                 )
+                now = time.perf_counter()
+                for future, (attempt, dispatch, hung_at) in list(running.items()):
+                    if not (future.done() or now >= hung_at):
+                        continue
+                    del running[future]
+                    try:  # an overdue future raises WorkerHangError
+                        result = SolveOutcome.from_dict(pool.result(dispatch, timeout=0))
+                    except WORKER_ERRORS as exc:
+                        result = exc
+                    advance(attempt.fingerprint, service.settle, attempt, result)
         finally:
             pool.shutdown()
-        # Retries exhausted (or unavailable): remaining requests walk the
-        # service's degradation ladder; its bottom is a typed envelope.
-        for fp, req in pending.items():
-            answered[fp] = self._degrade_safe(
-                fp, req, reasons.get(fp, "fan-out failed")
-            )
-
-    def _fan_round(
-        self,
-        pool: SupervisedWorkerPool,
-        pending: dict[str, SolveRequest],
-        donors: dict,
-        answered: dict[str, ServiceResponse],
-        reasons: dict[str, str],
-        attempt: int,
-    ) -> dict[str, SolveRequest]:
-        """Dispatch every pending request once; returns next round's misses."""
-        service = self.service
-        policy = service.resilience
-        metrics = service.metrics
-        chaos = service.chaos
-        failures: dict[str, SolveRequest] = {}
-        dispatches: dict[str, Dispatch] = {}
-        for fp, req in pending.items():
-            if service.breaker is not None and not service.breaker.allow(
-                req.family_key()
-            ):
-                metrics.record_breaker_block()
-                failures[fp] = req
-                reasons[fp] = (
-                    f"circuit breaker open for family {req.family_key()[:12]}"
-                )
-                continue
-            x0, _donor = donors[fp]
-            try:
-                dispatches[fp] = self._dispatch(pool, req, x0, chaos, attempt)
-            except (RestartBudgetError, WorkerCrashError) as exc:
-                failures[fp] = req
-                reasons[fp] = str(exc)
-        # Turns a hung worker into a typed, retryable failure instead of a
-        # stuck batch.
-        grace = harvest_timeout(self.deadline, policy)
-        for fp, dispatch in dispatches.items():
-            req = pending[fp]
-            try:
-                payload = self._harvest(pool, dispatch, grace, fp)
-                outcome = SolveOutcome.from_dict(payload)
-            except (WorkerCrashError, WorkerHangError, RestartBudgetError) as exc:
-                metrics.record_worker_failure(
-                    "hang" if isinstance(exc, WorkerHangError) else "crash"
-                )
-                failures[fp] = req
-                reasons[fp] = str(exc)
-                continue
-            if policy is not None:
-                corrupt = validate_outcome(req, outcome)
-                if corrupt is not None:
-                    metrics.record_corruption()
-                    failures[fp] = req
-                    reasons[fp] = f"corrupt result: {corrupt}"
-                    continue
-            self._book_outcome(fp, req, outcome, donors[fp][1], answered, reasons)
-        # Count retries for requests that will ride another round.
-        if attempt + 1 < (policy.retry.max_attempts if policy else 1):
-            for _ in failures:
-                metrics.record_retry()
-        return failures
-
-    def _dispatch(
-        self,
-        pool: SupervisedWorkerPool,
-        req: SolveRequest,
-        x0: dict | None,
-        chaos,
-        attempt: int,
-    ) -> Dispatch:
-        if chaos is not None:
-            from repro.faults.chaos import chaos_pool_solve
-
-            return pool.submit(
-                chaos_pool_solve, req.to_dict(), x0, self.deadline,
-                chaos.to_dict(), attempt,
-            )
-        return pool.submit(worker_solve, req.to_dict(), x0, self.deadline)
-
-    def _harvest(
-        self,
-        pool: SupervisedWorkerPool,
-        dispatch: Dispatch,
-        grace: float | None,
-        fp: str,
-    ) -> dict:
-        """Wait for one dispatch, hedging a straggler when policy allows."""
-        policy = self.service.resilience
-        hedge_after = policy.retry.hedge_after if policy else None
-        if (
-            hedge_after is None
-            or grace is None
-            or hedge_after >= grace
-            or pool.capacity < 2
-        ):
-            return pool.result(dispatch, timeout=grace)
-        done, _ = wait_any([dispatch.future], hedge_after)
-        if done:
-            return pool.result(dispatch, timeout=0)
-        # Straggler: issue a duplicate dispatch; first answer wins.
-        self.service.metrics.record_hedge()
-        try:
-            hedge = pool.submit(dispatch.fn, *dispatch.args)
-        except (RestartBudgetError, WorkerCrashError):
-            return pool.result(dispatch, timeout=max(0.0, grace - hedge_after))
-        done, _ = wait_any(
-            [dispatch.future, hedge.future], max(0.0, grace - hedge_after)
-        )
-        if dispatch.future.done():
-            pool.forget(hedge)
-            return pool.result(dispatch, timeout=0)
-        if hedge.future.done():
-            pool.forget(dispatch)
-            return pool.result(hedge, timeout=0)
-        # Both hung: reap the hedge's slot too, then surface the primary's
-        # hang (result() kills and replaces the worker).
-        pool.forget(hedge)
-        return pool.result(dispatch, timeout=0)
-
-    def _book_outcome(
-        self,
-        fp: str,
-        req: SolveRequest,
-        outcome: SolveOutcome,
-        donor: str | None,
-        answered: dict[str, ServiceResponse],
-        reasons: dict[str, str],
-    ) -> None:
-        service = self.service
-        metrics = service.metrics
-        ok = outcome.status in (Status.OPTIMAL.value, Status.FEASIBLE.value)
-        metrics.record_solve(
-            outcome.wall_time,
-            warm=outcome.warm_started,
-            iterations=outcome.iterations,
-            ok=ok,
-        )
-        if service.breaker is not None and (
-            ok or outcome.status != Status.TIME_LIMIT.value
-        ):
-            service.breaker.record_success(req.family_key())
-        if ok:
-            service.admit(req, outcome)
-        elif outcome.status == Status.TIME_LIMIT.value:
-            metrics.record_timeout()
-            if service.breaker is not None:
-                service.breaker.record_failure(req.family_key())
-            if service.resilience is not None:
-                # A deadline miss with resilience installed still owes the
-                # caller an answer: hand it to the ladder immediately.
-                answered[fp] = self._degrade_safe(
-                    fp, req, "worker solve exhausted its wall budget"
-                )
-                return
-        answered[fp] = ServiceResponse.from_outcome(
-            outcome, cached=False, latency=outcome.wall_time, donor=donor
-        )
-
-    def _degrade_safe(
-        self, fp: str, req: SolveRequest, reason: str
-    ) -> ServiceResponse:
-        service = self.service
-        if service.breaker is not None:
-            service.breaker.record_failure(req.family_key())
-        if service.resilience is None:
-            return ServiceResponse.error(
-                fingerprint=fp, status=Status.TIME_LIMIT.value, message=reason
-            )
-        try:
-            return service.fallback(req, fp, reason=reason)
-        except ServiceRejectedError as exc:
-            return ServiceResponse.from_error(exc, fingerprint=fp)

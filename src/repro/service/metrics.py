@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, exact_quantile
 from repro.util.tables import format_table
 
 #: Log-spaced latency bucket upper bounds, in seconds.
@@ -25,16 +25,6 @@ LATENCY_BUCKETS = (
 #: on fewer samples than this are *exact*; beyond it the histogram falls
 #: back to bucket interpolation.  2048 floats is ~16 KiB per histogram.
 EXACT_SAMPLE_CAP = 2048
-
-
-def exact_quantile(samples: list[float], q: float) -> float:
-    """Linear-interpolated order statistic of ``samples`` (must be sorted)."""
-    if not samples:
-        return 0.0
-    pos = q * (len(samples) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(samples) - 1)
-    return samples[lo] + (samples[hi] - samples[lo]) * (pos - lo)
 
 
 @dataclass
@@ -136,7 +126,6 @@ class ServiceMetrics:
     warm_iterations: int = 0
     # -- resilience accounting (supervisor / retry / breaker / ladder) -----
     retries: int = 0
-    hedges: int = 0
     worker_crashes: int = 0
     worker_hangs: int = 0
     worker_restarts: int = 0
@@ -198,10 +187,6 @@ class ServiceMetrics:
     def record_retry(self) -> None:
         self.retries += 1
         REGISTRY.counter("service_retries_total").inc()
-
-    def record_hedge(self) -> None:
-        self.hedges += 1
-        REGISTRY.counter("service_hedges_total").inc()
 
     def record_worker_failure(self, kind: str) -> None:
         """One worker death (crash or hang), booked by whoever caught it.
@@ -275,7 +260,6 @@ class ServiceMetrics:
         self.cold_iterations = 0
         self.warm_iterations = 0
         self.retries = 0
-        self.hedges = 0
         self.worker_crashes = 0
         self.worker_hangs = 0
         self.worker_restarts = 0
@@ -308,7 +292,6 @@ class ServiceMetrics:
             "warm_latency": self.warm_latency.snapshot(),
             "resilience": {
                 "retries": self.retries,
-                "hedges": self.hedges,
                 "worker_crashes": self.worker_crashes,
                 "worker_hangs": self.worker_hangs,
                 "worker_restarts": self.worker_restarts,
@@ -331,8 +314,7 @@ class ServiceMetrics:
             ["warm solves", snap["warm_solves"]],
             ["errors / timeouts / overloads",
              f"{snap['solve_errors']} / {snap['timeouts']} / {snap['overloads']}"],
-            ["retries / hedges",
-             f"{self.retries} / {self.hedges}"],
+            ["retries", self.retries],
             ["worker crashes / hangs / restarts",
              f"{self.worker_crashes} / {self.worker_hangs} / {self.worker_restarts}"],
             ["degraded stale / greedy / rejected",

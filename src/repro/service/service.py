@@ -15,6 +15,10 @@ Request lifecycle::
       -> cache insert + donor-pool registration
       -> metrics
 
+Everything after the cache lookup is the attempt loop (``open_attempt``,
+then ``settle`` per attempt); the batch fan-out runs the same loop per
+request on its worker pool.
+
 Cached answers are bit-identical to fresh solves: the solve RNG is seeded
 from the fingerprint, so replaying the request in any process yields the
 same allocation and objective the cache stored.
@@ -49,6 +53,7 @@ from repro.service.breaker import BreakerPolicy, CircuitBreaker
 from repro.service.cache import SolutionCache
 from repro.service.errors import (
     RestartBudgetError,
+    ServiceError,
     ServiceRejectedError,
     ServiceTimeoutError,
     WorkerCrashError,
@@ -124,12 +129,42 @@ def harvest_timeout(
     return min(grace, deadline + policy.hang_timeout) if policy else grace
 
 
+#: An attempt's system failures: worker death or hang, or a retired pool.
+WORKER_ERRORS = (RestartBudgetError, WorkerCrashError, WorkerHangError)
+
+
+@dataclass
+class Attempt:
+    """One cache miss in the attempt loop; ``number`` is the next attempt.
+
+    ``(fingerprint, number)`` keys the retry backoff and the chaos fault
+    draw, so attempt k is the same serially and on the batch fan-out.
+    """
+
+    request: SolveRequest
+    fingerprint: str
+    deadline: float | None
+    x0: dict[str, float] | None
+    donor: str | None
+    start: float
+    number: int = 0
+    reason: str = ""  # why the last attempt failed; the ladder's reason
+
+    def budget(self) -> float | None:
+        """Deadline left for the next attempt (``None``: unbounded)."""
+        if self.deadline is None:
+            return None
+        # Never negative: a pool's harvest timeout is derived from it.
+        return max(0.0, self.deadline - (time.perf_counter() - self.start))
+
+
 class AllocationService:
     """High-throughput query engine over the HSLB optimizer.
 
-    With a ``pool``, every solve runs out of process through
-    :func:`~repro.service.solver.worker_solve` on that supervised pool, and
-    the pool's worker restarts are booked into this service's metrics.
+    With a ``pool``, every solve runs out of process as :meth:`pool_task`
+    on that supervised pool, and the pool's worker restarts are booked into
+    this service's metrics.  Without one, a ``chaos`` plan injects its
+    faults in-process.
     """
 
     def __init__(
@@ -163,13 +198,13 @@ class AllocationService:
         # bit-identical-replay guarantee for latency.
         self.share_cuts = share_cuts
         self._cut_pools: dict[str, OACutPool] = defaultdict(OACutPool)
-        if chaos is not None:
+        if pool is not None:
+            pool.metrics = self.metrics
+            self._solve = partial(self._solve_on, pool)
+        elif chaos is not None:
             from repro.faults.chaos import chaotic_solve
 
             self._solve = chaotic_solve(chaos, solve_request)
-        elif pool is not None:
-            pool.metrics = self.metrics
-            self._solve = partial(self._solve_on, pool)
         else:
             self._solve = (
                 lambda request, *, x0=None, deadline=None, attempt=0: solve_request(
@@ -220,7 +255,37 @@ class AllocationService:
             return ServiceResponse.from_outcome(
                 cached, cached=True, latency=latency
             )
-        policy = self.resilience
+        step = self.open_attempt(
+            request, fingerprint, deadline=deadline, start=start
+        )
+        while isinstance(step, Attempt):
+            try:
+                result = self._solve(
+                    request, x0=step.x0, deadline=step.budget(),
+                    attempt=step.number,
+                )
+            except WORKER_ERRORS as exc:
+                result = exc
+            step = self.settle(step, result)
+        return step
+
+    # -- the attempt loop --------------------------------------------------
+
+    def open_attempt(
+        self,
+        request: SolveRequest,
+        fingerprint: str,
+        *,
+        deadline: float | None,
+        start: float | None = None,
+    ) -> Attempt | ServiceResponse:
+        """Start the attempt loop for a cache miss.
+
+        Returns the ladder's answer when the family's circuit breaker is
+        open (no attempt runs), else the first :class:`Attempt`, carrying
+        the warm-start donor.
+        """
+        start = time.perf_counter() if start is None else start
         family = request.family_key()
         if self.breaker is not None and not self.breaker.allow(family):
             self.metrics.record_breaker_block()
@@ -231,83 +296,101 @@ class AllocationService:
                 start=start,
             )
         x0, donor = self._find_donor(request, fingerprint)
-        attempts = policy.retry.max_attempts if policy else 1
-        last_reason = "no solve attempt ran"
-        for attempt in range(attempts):
-            if attempt:
-                self.metrics.record_retry()
-                self.sleeper(policy.retry.backoff(fingerprint, attempt))
-            budget = deadline
-            if deadline is not None:
-                budget = deadline - (time.perf_counter() - start)
-                if policy and budget <= policy.min_attempt_budget:
-                    last_reason = "deadline exhausted before another attempt"
-                    break
-            try:
-                outcome = self._solve(
-                    request, x0=x0, deadline=budget, attempt=attempt
-                )
-            except RestartBudgetError as exc:
-                # Every worker slot retired: no retry can run, so go
-                # straight to the ladder.
-                last_reason = str(exc)
-                if policy is None:
-                    raise
-                break
-            except (WorkerCrashError, WorkerHangError) as exc:
+        return Attempt(request, fingerprint, deadline, x0, donor, start)
+
+    def settle(
+        self, attempt: Attempt, result: SolveOutcome | ServiceError
+    ) -> Attempt | ServiceResponse:
+        """Book one attempt's outcome or worker error; answer or retry.
+
+        Worker deaths and corrupt results retry after the request's own
+        backoff; ``TIME_LIMIT``, a retired pool or exhausted retries go to
+        the ladder.  Without a policy, worker errors re-raise and a give-up
+        raises :class:`ServiceTimeoutError`.
+        """
+        policy = self.resilience
+        request = attempt.request
+        if isinstance(result, WORKER_ERRORS):
+            if not isinstance(result, RestartBudgetError):
                 self.metrics.record_worker_failure(
-                    "hang" if isinstance(exc, WorkerHangError) else "crash"
+                    "hang" if isinstance(result, WorkerHangError) else "crash"
                 )
-                last_reason = str(exc)
-                if policy is None:
-                    raise
-                continue
-            if policy is not None:
-                corrupt = validate_outcome(request, outcome)
-                if corrupt is not None:
-                    self.metrics.record_corruption()
-                    last_reason = f"corrupt result: {corrupt}"
-                    continue
-            latency = time.perf_counter() - start
-            ok = outcome.status in (Status.OPTIMAL.value, Status.FEASIBLE.value)
-            if ok or outcome.status != Status.TIME_LIMIT.value:
-                # A finished solve — optimal/feasible, or a *model*-fault
-                # terminal status (infeasible, error) that no retry changes.
-                self.metrics.record_solve(
-                    latency,
-                    warm=outcome.warm_started,
-                    iterations=outcome.iterations,
-                    ok=ok,
-                )
-                if self.breaker is not None:
-                    # Any *completed* solve is a system success — even an
-                    # infeasible model proves the workers and solver ran.
-                    self.breaker.record_success(family)
-                if ok:
-                    self.admit(request, outcome)
-                return ServiceResponse.from_outcome(
-                    outcome, cached=False, latency=latency, donor=donor
-                )
-            # TIME_LIMIT: deterministic under a fixed budget, so spend the
-            # remaining deadline on the ladder, not on an identical re-run.
-            self.metrics.record_solve(
-                latency, warm=outcome.warm_started,
-                iterations=outcome.iterations, ok=False,
+            if policy is None:
+                raise result
+            attempt.reason = str(result)
+            if isinstance(result, RestartBudgetError):
+                return self._give_up(attempt)  # no slot left to retry on
+            return self._retry(attempt)
+        if policy is not None:
+            corrupt = validate_outcome(request, result)
+            if corrupt is not None:
+                self.metrics.record_corruption()
+                attempt.reason = f"corrupt result: {corrupt}"
+                return self._retry(attempt)
+        latency = time.perf_counter() - attempt.start
+        ok = result.status in (Status.OPTIMAL.value, Status.FEASIBLE.value)
+        self.metrics.record_solve(
+            latency, warm=result.warm_started, iterations=result.iterations, ok=ok
+        )
+        if ok or result.status != Status.TIME_LIMIT.value:
+            # A finished solve — optimal/feasible, or a *model*-fault
+            # terminal status (infeasible, error) that no retry changes.
+            if self.breaker is not None:
+                # Any *completed* solve is a system success — even an
+                # infeasible model proves the workers and solver ran.
+                self.breaker.record_success(request.family_key())
+            if ok:
+                self.admit(request, result)
+            return ServiceResponse.from_outcome(
+                result, cached=False, latency=latency, donor=attempt.donor
             )
-            self.metrics.record_timeout()
-            last_reason = "solver exhausted its wall budget"
-            break
+        # TIME_LIMIT: deterministic under a fixed budget, so spend the
+        # remaining deadline on the ladder, not on an identical re-run.
+        self.metrics.record_timeout()
+        attempt.reason = "solver exhausted its wall budget"
+        return self._give_up(attempt)
+
+    def _retry(self, attempt: Attempt) -> Attempt | ServiceResponse:
+        """Back off and hand back ``attempt`` for its next try, or give up."""
+        retry = self.resilience.retry
+        attempt.number += 1
+        if attempt.number >= retry.max_attempts:
+            return self._give_up(attempt)
+        self.metrics.record_retry()
+        self.sleeper(retry.backoff(attempt.fingerprint, attempt.number))
+        budget = attempt.budget()
+        if budget is not None and budget <= self.resilience.min_attempt_budget:
+            attempt.reason = "deadline exhausted before another attempt"
+            return self._give_up(attempt)
+        return attempt
+
+    def _give_up(self, attempt: Attempt) -> ServiceResponse:
+        """No exact answer: count a breaker failure, then walk the ladder."""
+        request, deadline = attempt.request, attempt.deadline
         if self.breaker is not None:
-            self.breaker.record_failure(family)
-        if policy is None:
+            self.breaker.record_failure(request.family_key())
+        if self.resilience is None:
             raise ServiceTimeoutError(
-                fingerprint=fingerprint,
-                deadline=(
-                    deadline if deadline is not None else request.options.time_limit
-                ),
-                elapsed=time.perf_counter() - start,
+                fingerprint=attempt.fingerprint,
+                deadline=request.options.time_limit if deadline is None else deadline,
+                elapsed=time.perf_counter() - attempt.start,
             )
-        return self.fallback(request, fingerprint, reason=last_reason, start=start)
+        return self.fallback(
+            request, attempt.fingerprint, reason=attempt.reason,
+            start=attempt.start,
+        )
+
+    def pool_task(
+        self, request: SolveRequest, *, x0: dict | None, deadline: float | None,
+        attempt: int,
+    ) -> tuple:
+        """``(fn, *args)`` for one attempt on a pool: chaos-wrapped if planned."""
+        args = (request.to_dict(), x0, deadline)
+        if self.chaos is None:
+            return (worker_solve, *args)
+        from repro.faults.chaos import chaos_pool_solve
+
+        return (chaos_pool_solve, *args, self.chaos.to_dict(), attempt)
 
     def _solve_on(
         self,
@@ -319,7 +402,9 @@ class AllocationService:
         attempt: int = 0,
     ) -> SolveOutcome:
         """One solve on a supervised worker; worker deaths raise typed errors."""
-        dispatch = pool.submit(worker_solve, request.to_dict(), x0, deadline)
+        dispatch = pool.submit(
+            *self.pool_task(request, x0=x0, deadline=deadline, attempt=attempt)
+        )
         return SolveOutcome.from_dict(
             pool.result(dispatch, timeout=harvest_timeout(deadline, self.resilience))
         )

@@ -163,11 +163,6 @@ def _outcome(
     )
 
 
-def outcome_is_timeout(outcome: SolveOutcome) -> bool:
-    """True when the solver died on its wall budget with no usable point."""
-    return outcome.status == Status.TIME_LIMIT.value
-
-
 def validate_outcome(request: SolveRequest, outcome: SolveOutcome) -> str | None:
     """Sanity-check a (possibly worker-produced) outcome against its request.
 

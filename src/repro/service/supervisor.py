@@ -109,21 +109,18 @@ class _Slot:
     health: WorkerHealth
     inflight: int = 0
     retired: bool = False
-    broken: bool = False  # a forgotten future died; replace before reuse
 
 
 @dataclass
 class Dispatch:
     """One submitted task: the slot it landed on plus its future.
 
-    ``fn``/``args`` are kept so retry and hedging policies can re-dispatch
-    the identical task without the caller re-plumbing its arguments.
+    Hand it back to :meth:`SupervisedWorkerPool.result` to harvest it; that
+    is what frees the slot and books the worker's health.
     """
 
     slot: _Slot = field(repr=False)
     future: Future = field(repr=False)
-    fn: Callable = field(repr=False)
-    args: tuple = ()
 
     @property
     def worker_id(self) -> int:
@@ -194,10 +191,11 @@ class SupervisedWorkerPool:
     def submit(self, fn: Callable, *args) -> Dispatch:
         """Run ``fn(*args)`` on the least-loaded healthy worker.
 
-        With tracing enabled, the call is transparently wrapped so the
-        worker records its spans under the caller's current trace context
-        and ships them back; hedged re-dispatches (``Dispatch.fn``/
-        ``args``) re-use the wrapped form, so duplicates trace too.
+        The least-loaded slot is an idle one whenever fewer dispatches are
+        unharvested than :attr:`capacity`, which is how the batch fan-out
+        keeps one task per worker.  With tracing enabled, the call is
+        transparently wrapped so the worker records its spans under the
+        caller's current trace context and ships them back.
         """
         tracer = get_tracer()
         if tracer.enabled:
@@ -220,7 +218,7 @@ class SupervisedWorkerPool:
                 ) from exc
             slot.inflight += 1
             future = slot.executor.submit(fn, *args)
-        return Dispatch(slot, future, fn, args)
+        return Dispatch(slot, future)
 
     def result(self, dispatch: Dispatch, timeout: float | None = None):
         """Harvest one dispatch; books health and replaces dead workers.
@@ -266,31 +264,10 @@ class SupervisedWorkerPool:
             value = value["value"]
         return value
 
-    def forget(self, dispatch: Dispatch) -> None:
-        """Abandon a dispatch (hedging loser): release the slot when done."""
-        slot = dispatch.slot
-
-        def _done(future: Future) -> None:
-            slot.inflight = max(0, slot.inflight - 1)
-            exc = future.exception()
-            if isinstance(exc, self.CRASH_EXCEPTIONS):
-                slot.broken = True  # replaced lazily on next pick
-
-        dispatch.future.add_done_callback(_done)
-
     # -- supervision -------------------------------------------------------
 
     def _pick(self) -> _Slot:
-        candidates = []
-        for slot in self._slots:
-            if slot.retired:
-                continue
-            if slot.broken:
-                self._book_failure(slot, "crash")
-                self._replace(slot)
-                if slot.retired:
-                    continue
-            candidates.append(slot)
+        candidates = [slot for slot in self._slots if not slot.retired]
         if not candidates:
             raise RestartBudgetError(budget=self.restart_budget)
         return min(candidates, key=lambda s: (s.inflight, s.worker_id))
@@ -306,7 +283,6 @@ class SupervisedWorkerPool:
     def _replace(self, slot: _Slot) -> None:
         """Kill the slot's executor and install a fresh one, budget allowing."""
         _kill_executor(slot.executor)
-        slot.broken = False
         if slot.health.consecutive_failures > self.restart_budget:
             slot.retired = True
             return
@@ -339,20 +315,9 @@ class SupervisedWorkerPool:
         self.shutdown()
 
 
-def wait_any(
-    futures: list[Future], timeout: float | None
-) -> tuple[set[Future], set[Future]]:
-    """``concurrent.futures.wait(FIRST_COMPLETED)`` with a stable import."""
-    from concurrent.futures import FIRST_COMPLETED, wait
-
-    done, pending = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
-    return done, pending
-
-
 __all__ = [
     "Dispatch",
     "InlineExecutor",
     "SupervisedWorkerPool",
     "WorkerHealth",
-    "wait_any",
 ]

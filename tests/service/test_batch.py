@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults import ChaosPlan
 from repro.minlp.bnb import BnBOptions
 from repro.service import (
     AllocationService,
     BatchExecutor,
+    BreakerPolicy,
+    ResiliencePolicy,
     ServiceOverloadError,
 )
 
@@ -98,6 +101,50 @@ def test_process_pool_fan_out_matches_serial(request64):
     for a, b in zip(serial, pooled):
         assert a.allocation == b.allocation
         assert a.objective == b.objective  # fingerprint-seeded: bit-identical
+
+
+def _family(k: int) -> dict:
+    """Curves of the ``k``-th distinct request family."""
+    return {name: dict(p, a=p["a"] * (1.0 + 0.5 * k)) for name, p in CURVES.items()}
+
+
+def test_breaker_blocked_family_goes_straight_to_the_ladder():
+    sleeps: list[float] = []
+    service = AllocationService(
+        resilience=ResiliencePolicy(
+            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=600.0)
+        ),
+        sleeper=sleeps.append,
+    )
+    blocked = make_request(64)
+    service.breaker.record_failure(blocked.family_key())  # opens it
+    responses = BatchExecutor(service, max_workers=2).run(
+        [blocked, make_request(96, curves=_family(1))]
+    )
+    assert [r.source for r in responses] == ["greedy", "exact"]
+    # Blocked once, before any dispatch: no retry, no backoff.
+    assert service.metrics.breaker_blocks == 1
+    assert service.metrics.retries == 0
+    assert sleeps == []
+
+
+def test_retired_pool_sends_the_rest_to_the_ladder_without_retries():
+    plan = ChaosPlan(seed=7, crash_rate=0.99)
+    requests = [make_request(64, curves=_family(k)) for k in range(5)]
+    assert all(plan.fault(r.fingerprint(), 0) == "crash" for r in requests)
+    service = AllocationService(
+        resilience=ResiliencePolicy(restart_budget=0),
+        chaos=plan,
+        sleeper=lambda _s: None,
+    )
+    responses = BatchExecutor(service, max_workers=2, deadline=30.0).run(requests)
+    assert [r.source for r in responses] == ["greedy"] * len(requests)
+    m = service.metrics
+    # One crash per slot retires both; only those two requests booked a
+    # retry, which found no slot, like the three never dispatched.
+    assert m.worker_crashes == 2
+    assert m.worker_restarts == 0
+    assert m.retries == 2
 
 
 def test_constructor_validation():

@@ -134,6 +134,32 @@ def test_typed_errors_only_under_deadline():
             pass  # typed: the contract allows refusal, not silence
 
 
+def test_batch_fan_out_soak_matches_the_serial_run():
+    """The ``hslb chaos`` soak: a worker death costs only its own attempt.
+
+    CLI default fault mix, seed 20260808, 60 requests: through two
+    supervised workers every answer is exact or cached, with the same two
+    crash draws and the same sources as the in-process run.
+    """
+    from collections import Counter
+
+    from repro import cli
+
+    def soak(workers: int):
+        args = cli._build_parser().parse_args(["chaos", "--chaos-seed", "20260808"])
+        vars(args).update(cli._CHAOS_DEFAULT_RATES)
+        service = cli._service_from_args(args, forced_resilience=True)
+        executor = BatchExecutor(service, max_workers=workers, deadline=10)
+        responses = executor.run(cli._chaos_mix(60, 3))
+        return Counter(r.source for r in responses), service.metrics
+
+    serial_sources, serial = soak(0)
+    sources, pooled = soak(2)
+    assert set(sources) <= {"exact", "cache"}
+    assert sources == serial_sources
+    assert pooled.worker_crashes == serial.worker_crashes == 2
+
+
 @pytest.mark.slow
 def test_end_to_end_pool_crash_recovery():
     """Real worker deaths (``os._exit``) inside the supervised fan-out.

@@ -18,7 +18,6 @@ from repro.service import (
     WorkerCrashError,
     WorkerHangError,
 )
-from repro.service.supervisor import wait_any
 
 
 # Pool tasks must be module-level (picklable) for the real-process cases.
@@ -143,20 +142,6 @@ def test_real_hang_kills_and_replaces_the_worker():
         assert time.perf_counter() - start < 10.0  # killed, not waited out
         assert pool.snapshot()["workers"][0]["hangs"] == 1
         assert pool.result(pool.submit(_double, 3), timeout=30.0) == 6
-
-
-def test_forget_releases_the_slot():
-    with SupervisedWorkerPool.inline(1) as pool:
-        d = pool.submit(_double, 1)
-        pool.forget(d)
-        assert d.slot.inflight == 0
-
-
-def test_wait_helpers():
-    with SupervisedWorkerPool.inline(1) as pool:
-        d = pool.submit(_double, 4)
-        done, pending = wait_any([d.future], timeout=1.0)
-        assert d.future in done and not pending
 
 
 def test_inline_executor_wraps_results_and_exceptions():
